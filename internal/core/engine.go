@@ -136,8 +136,7 @@ type Engine struct {
 	// in the schema or another subscription rule").
 	named map[string]*rules.NormalRule
 
-	prep  prepared
-	cache stmtCache
+	prep prepared
 
 	// shards is the partitioned triggering machinery (shard.go); nil when
 	// the engine runs the serial path, which keeps the degenerate case free
@@ -166,14 +165,16 @@ type prepared struct {
 	stmtsOfURI    *sql.Stmt
 	// trig holds the ten triggering queries in the canonical operator order
 	// of trigOpNames (ANY, EQ, EQN, NE, NEN, CON, LT, LE, GT, GE).
-	trig          [numTrigOps]*sql.Stmt
-	resultHas     *sql.Stmt
-	resultIns     *sql.Stmt
-	resultDel     *sql.Stmt
-	resultObjIns  *sql.Stmt
-	subsOfEndRule *sql.Stmt
-	strongRefsTo  *sql.Stmt
-	resourceClass *sql.Stmt
+	trig            [numTrigOps]*sql.Stmt
+	resultHas       *sql.Stmt
+	resultIns       *sql.Stmt
+	resultDel       *sql.Stmt
+	resultObjIns    *sql.Stmt
+	clearResultObjs *sql.Stmt
+	fedGroups       *sql.Stmt
+	subsOfEndRule   *sql.Stmt
+	strongRefsTo    *sql.Stmt
+	resourceClass   *sql.Stmt
 }
 
 // NewEngine creates an engine with a fresh database.
@@ -294,10 +295,12 @@ var ddl = []string{
 
 	// Deduplicated edges from an input atomic rule to the join-rule groups
 	// it feeds, one row per (source rule, side, group). The filter's
-	// affected-group collection probes this by source rule, so its cost is
-	// proportional to the number of distinct groups a delta feeds — not to
-	// the number of join rules sharing those groups (JoinRules holds one
-	// row per rule; a shared triggering rule can feed tens of thousands).
+	// affected-group collection (prepared.fedGroups) joins the ResultObjects
+	// delta to this through idx_gf_pk by source rule, so its cost is
+	// proportional to the delta and the distinct groups it feeds — not to
+	// this table's size, nor to the number of join rules sharing those
+	// groups (JoinRules holds one row per rule; a shared triggering rule
+	// can feed tens of thousands).
 	`CREATE TABLE GroupFeeds (source_rule INT NOT NULL, side TEXT NOT NULL, group_id INT NOT NULL)`,
 	`CREATE UNIQUE INDEX idx_gf_pk ON GroupFeeds (source_rule, side, group_id)`,
 	`CREATE INDEX idx_gf_group ON GroupFeeds (group_id)`,
@@ -425,6 +428,14 @@ func (e *Engine) prepare() {
 		`DELETE FROM RuleResults WHERE rule_id = ? AND uri_reference = ?`)
 	p.resultObjIns = e.db.MustPrepare(
 		`INSERT INTO ResultObjects (uri_reference, rule_id) VALUES (?, ?)`)
+	p.clearResultObjs = e.db.MustPrepare(`DELETE FROM ResultObjects`)
+	// The groups an iteration's delta feeds, on each side. The delta comes
+	// first: the planner joins in FROM order, and ResultObjects holds a few
+	// rows while GroupFeeds grows with the rule base, so GroupFeeds is
+	// reached through the (source_rule, side, group_id) index prefix.
+	p.fedGroups = e.db.MustPrepare(`
+		SELECT DISTINCT gf.group_id, gf.side FROM ResultObjects ro, GroupFeeds gf
+		WHERE gf.source_rule = ro.rule_id`)
 	p.subsOfEndRule = e.db.MustPrepare(`
 		SELECT s.sub_id, s.subscriber FROM SubscriptionEndRules ser, Subscriptions s
 		WHERE ser.end_rule = ? AND s.sub_id = ser.sub_id`)

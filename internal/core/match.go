@@ -3,46 +3,11 @@ package core
 import (
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mdv/internal/rdb"
-	"mdv/internal/rdb/sql"
 	"mdv/internal/rules"
 )
-
-// stmtCache caches prepared statements for the dynamically shaped join
-// queries (shape depends on operator and which operands access properties;
-// classes and property names are passed as parameters). It is RW-locked so
-// concurrent readers resolving an already cached shape never serialize;
-// only a cache miss takes the exclusive lock to prepare and insert.
-type stmtCache struct {
-	mu sync.RWMutex
-	m  map[string]*sql.Stmt
-}
-
-func (e *Engine) cachedStmt(text string) (*sql.Stmt, error) {
-	e.cache.mu.RLock()
-	st, ok := e.cache.m[text]
-	e.cache.mu.RUnlock()
-	if ok {
-		return st, nil
-	}
-	e.cache.mu.Lock()
-	defer e.cache.mu.Unlock()
-	if e.cache.m == nil {
-		e.cache.m = make(map[string]*sql.Stmt)
-	}
-	if st, ok := e.cache.m[text]; ok {
-		return st, nil
-	}
-	st, err := e.db.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	e.cache.m[text] = st
-	return st, nil
-}
 
 // matchSet accumulates (rule, uri) matches of one filter run.
 type matchSet struct {
@@ -164,7 +129,7 @@ func (e *Engine) runFilter(atoms []preparedAtom, mode filterMode) (*matchSet, er
 	if _, err := e.prep.clearFilter.Exec(); err != nil {
 		return nil, err
 	}
-	if _, err := e.db.Exec(`DELETE FROM ResultObjects`); err != nil {
+	if _, err := e.prep.clearResultObjs.Exec(); err != nil {
 		return nil, err
 	}
 	return all, nil
@@ -231,16 +196,15 @@ func (e *Engine) noteMatch(rule int64, uri string, mode filterMode) (bool, error
 
 // loadResultObjects replaces the ResultObjects table with the delta.
 func (e *Engine) loadResultObjects(delta []matchPair) error {
-	if _, err := e.db.Exec(`DELETE FROM ResultObjects`); err != nil {
+	if _, err := e.prep.clearResultObjs.Exec(); err != nil {
 		return err
 	}
-	ins := e.prep.resultObjIns
-	for _, p := range delta {
-		if _, err := ins.Exec(rdb.NewText(p.uri), rdb.NewInt(p.rule)); err != nil {
-			return err
-		}
+	rows := make([][]rdb.Value, len(delta))
+	for i, p := range delta {
+		rows[i] = []rdb.Value{rdb.NewText(p.uri), rdb.NewInt(p.rule)}
 	}
-	return nil
+	_, err := e.prep.resultObjIns.ExecBatch(rows)
+	return err
 }
 
 // evaluateDependentGroups finds the rule groups fed by the current
@@ -252,32 +216,13 @@ func (e *Engine) evaluateDependentGroups(all *matchSet, mode filterMode) ([]matc
 		group int64
 		side  byte // 'L' or 'R' delta side
 	}
-	var tasks []task
-	seen := map[task]bool{}
-	collect := func(q string, side byte) error {
-		rows, err := e.db.Query(q)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows.Data {
-			t := task{group: r[0].Int, side: side}
-			if !seen[t] {
-				seen[t] = true
-				tasks = append(tasks, t)
-			}
-		}
-		return nil
-	}
-	// GroupFeeds holds one row per (input rule, side, group), so this scans
-	// the groups the delta actually feeds — not every join rule sharing
-	// them (a shared triggering rule can feed the whole rule base).
-	if err := collect(`SELECT DISTINCT gf.group_id FROM GroupFeeds gf, ResultObjects ro
-		WHERE gf.source_rule = ro.rule_id AND gf.side = 'L'`, 'L'); err != nil {
+	rows, err := e.prep.fedGroups.Query()
+	if err != nil {
 		return nil, err
 	}
-	if err := collect(`SELECT DISTINCT gf.group_id FROM GroupFeeds gf, ResultObjects ro
-		WHERE gf.source_rule = ro.rule_id AND gf.side = 'R'`, 'R'); err != nil {
-		return nil, err
+	tasks := make([]task, len(rows.Data))
+	for i, r := range rows.Data {
+		tasks[i] = task{group: r[0].Int, side: r[1].Str[0]}
 	}
 	// Deterministic evaluation order.
 	sort.Slice(tasks, func(a, b int) bool {
@@ -328,12 +273,8 @@ func (e *Engine) evaluateDependentGroups(all *matchSet, mode filterMode) ([]matc
 // Rules").
 func (e *Engine) evalGroupDelta(g *groupInfo, deltaSide byte) ([]matchPair, error) {
 	text, params := e.buildGroupSQL(g, deltaSide)
-	st, err := e.cachedStmt(text)
-	if err != nil {
-		return nil, err
-	}
 	var out []matchPair
-	err = st.QueryFunc(params, func(row []rdb.Value) error {
+	err := e.db.QueryFunc(text, params, func(row []rdb.Value) error {
 		out = append(out, matchPair{rule: row[0].Int, uri: row[1].Str})
 		return nil
 	})
@@ -345,12 +286,8 @@ func (e *Engine) evalGroupDelta(g *groupInfo, deltaSide byte) ([]matchPair, erro
 // materialization against already stored metadata).
 func (e *Engine) evalJoinFull(g *groupInfo, leftRule, rightRule int64) ([]string, error) {
 	text, params := e.buildFullJoinSQL(g, leftRule, rightRule)
-	st, err := e.cachedStmt(text)
-	if err != nil {
-		return nil, err
-	}
 	var out []string
-	err = st.QueryFunc(params, func(row []rdb.Value) error {
+	err := e.db.QueryFunc(text, params, func(row []rdb.Value) error {
 		out = append(out, row[0].Str)
 		return nil
 	})
@@ -396,7 +333,8 @@ func numCol(expr string) string {
 // predicates), though typed engines at least skip the per-row CAST.
 //
 // Classes and property names are parameters; only the operator and operand
-// shapes are baked into the text, so the statement cache stays small.
+// shapes are baked into the text, so the database's statement cache holds
+// one entry per shape.
 func (e *Engine) buildGroupSQL(g *groupInfo, deltaSide byte) (string, []rdb.Value) {
 	// View the join from the delta side: d* is the delta input, f* the full
 	// (materialized) side.

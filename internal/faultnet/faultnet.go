@@ -150,7 +150,8 @@ func (p *Proxy) ActiveLinks() int {
 	return len(p.links)
 }
 
-// Forwarded returns the bytes forwarded so far in the given direction.
+// Forwarded returns the bytes handed to the destination so far in the given
+// direction.
 func (p *Proxy) Forwarded(dir Direction) int64 { return p.forwarded[dir].Load() }
 
 // Close stops the proxy and closes all links. It returns after every pump
@@ -243,10 +244,12 @@ func (p *Proxy) pump(l *link, src, dst net.Conn, dir Direction) {
 					return
 				}
 			}
+			// Count before writing: once the peer has read the bytes, the
+			// counter must already include them.
+			p.forwarded[dir].Add(int64(n))
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
-			p.forwarded[dir].Add(int64(n))
 		}
 		if err != nil {
 			return

@@ -95,6 +95,12 @@ type OrderItem struct {
 	Desc bool
 }
 
+// ExplainStmt is EXPLAIN <SELECT|UPDATE|DELETE>: it reports the access path
+// of every relation the target statement reads, without executing it.
+type ExplainStmt struct {
+	Target Statement
+}
+
 func (*CreateTableStmt) stmt() {}
 func (*CreateIndexStmt) stmt() {}
 func (*DropTableStmt) stmt()   {}
@@ -103,6 +109,7 @@ func (*InsertStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 func (*SelectStmt) stmt()      {}
+func (*ExplainStmt) stmt()     {}
 
 // Expr is a parsed expression tree node.
 type Expr interface{ expr() }

@@ -1,7 +1,8 @@
 // Package sql implements a SQL subset on top of the rdb engine: DDL
 // (CREATE/DROP TABLE, CREATE/DROP INDEX), DML (INSERT, UPDATE, DELETE,
-// INSERT ... SELECT), and queries (SELECT with multi-way joins, WHERE,
-// GROUP BY with aggregates, HAVING, ORDER BY, DISTINCT, LIMIT/OFFSET).
+// INSERT ... SELECT), queries (SELECT with multi-way joins, WHERE,
+// GROUP BY with aggregates, HAVING, ORDER BY, DISTINCT, LIMIT/OFFSET), and
+// EXPLAIN of a SELECT, UPDATE or DELETE.
 //
 // The dialect includes a CONTAINS operator (substring match) because the MDV
 // rule language exposes it, and CAST, which the filter algorithm uses to
@@ -48,6 +49,7 @@ var keywords = map[string]bool{
 	"INT": true, "INTEGER": true, "FLOAT": true, "REAL": true, "DOUBLE": true,
 	"TEXT": true, "VARCHAR": true, "STRING": true, "BOOL": true, "BOOLEAN": true,
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
+	"EXPLAIN": true,
 }
 
 type lexer struct {

@@ -117,9 +117,24 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseCreate()
 	case "DROP":
 		return p.parseDrop()
+	case "EXPLAIN":
+		return p.parseExplain()
 	default:
 		return nil, p.errorf("unsupported statement %q", t.text)
 	}
+}
+
+// parseExplain parses EXPLAIN followed by a SELECT, UPDATE or DELETE.
+func (p *parser) parseExplain() (Statement, error) {
+	p.next() // EXPLAIN
+	if !p.at(tkKeyword, "SELECT") && !p.at(tkKeyword, "UPDATE") && !p.at(tkKeyword, "DELETE") {
+		return nil, p.errorf("EXPLAIN expects SELECT, UPDATE or DELETE, found %q", p.peek().text)
+	}
+	st, err := p.parseStatement()
+	if err != nil {
+		return nil, err
+	}
+	return &ExplainStmt{Target: st}, nil
 }
 
 func (p *parser) parseCreate() (Statement, error) {

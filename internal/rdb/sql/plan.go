@@ -9,11 +9,18 @@ import (
 )
 
 // The planner turns a SelectStmt into a left-deep join plan. Relations are
-// joined in FROM order (the dialect is used by code we control — the MDV
-// filter — which lists tables in a good order); the planner's job is access
-// path selection: for each relation it picks a point index lookup, an index
-// prefix/range scan, or a full scan, based on the conjuncts available once
-// the preceding relations are bound.
+// joined in FROM order: that is a contract, not a heuristic. The planner
+// never reorders joins, so a statement's author picks the join order by
+// listing the driving relation (usually a small per-run delta) first. The
+// planner's job is access path selection: for each relation it picks a
+// point index lookup, an index prefix/range scan, or a full scan, based on
+// the conjuncts available once the preceding relations are bound.
+//
+// Nothing here checks that an author chose well. EXPLAIN (explain.go)
+// prints the chosen paths, and the golden hot-path plan audit in
+// internal/core (TestHotPathPlanAudit) fails when a statement the filter
+// runs during a publish full-scans any table other than its per-run
+// scratch tables.
 
 // selectPlan is a fully compiled SELECT.
 type selectPlan struct {

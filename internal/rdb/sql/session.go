@@ -3,6 +3,7 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,13 +26,17 @@ type DB struct {
 	stmtMu sync.RWMutex
 	// planVersion invalidates cached prepared-statement plans after DDL.
 	planVersion atomic.Uint64
+	// stmts caches prepared statements by text.
+	stmts stmtCache
 	// met is the optional instrument bundle (see EnableMetrics); nil until
 	// metrics are enabled, making the disabled path one atomic load.
 	met atomic.Pointer[dbMetrics]
 }
 
 // NewDB wraps an existing engine database.
-func NewDB(raw *rdb.Database) *DB { return &DB{raw: raw} }
+func NewDB(raw *rdb.Database) *DB {
+	return &DB{raw: raw, stmts: stmtCache{m: make(map[string]*Stmt)}}
+}
 
 // Open creates a new, empty SQL database.
 func Open() *DB { return NewDB(rdb.NewDatabase()) }
@@ -73,84 +78,40 @@ func (r *Rows) Col(name string) int {
 	return -1
 }
 
-// Exec parses and executes a statement, returning the number of affected
-// rows (for DML; DDL returns 0).
+// Exec executes a statement, returning the number of affected rows (for
+// DML; DDL returns 0 and a SELECT its row count). The text is parsed once
+// and served from the statement cache after that.
 func (d *DB) Exec(query string, params ...rdb.Value) (int, error) {
-	st, err := Parse(query)
+	s, err := d.Prepare(query)
 	if err != nil {
 		return 0, err
 	}
-	return d.ExecStmt(st, params)
+	return s.Exec(params...)
 }
 
-// Query parses and executes a SELECT, materializing all rows.
+// Query executes a SELECT or EXPLAIN, materializing all rows.
 func (d *DB) Query(query string, params ...rdb.Value) (*Rows, error) {
-	st, err := Parse(query)
+	s, err := d.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: Query requires a SELECT statement")
-	}
-	return d.querySelect(sel, params)
+	return s.query(params, true)
 }
 
-// QueryFunc executes a SELECT, streaming each row to visit. The row slice is
-// owned by the callback (a fresh slice per row).
+// QueryFunc executes a SELECT or EXPLAIN, streaming each row to visit. The
+// row slice is owned by the callback (a fresh slice per row).
 func (d *DB) QueryFunc(query string, params []rdb.Value, visit func(row []rdb.Value) error) error {
-	st, err := Parse(query)
+	s, err := d.Prepare(query)
 	if err != nil {
 		return err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return fmt.Errorf("sql: QueryFunc requires a SELECT statement")
-	}
-	t0 := time.Now()
-	plan, err := buildSelectPlan(d.raw, sel)
-	if err != nil {
-		return err
-	}
-	defer d.observeSelect(plan, t0)
-	d.stmtMu.RLock()
-	defer d.stmtMu.RUnlock()
-	return plan.run(params, visit)
+	_, err = s.run(params, true, visit)
+	return err
 }
 
-func (d *DB) querySelect(sel *SelectStmt, params []rdb.Value) (*Rows, error) {
-	t0 := time.Now()
-	plan, err := buildSelectPlan(d.raw, sel)
-	if err != nil {
-		return nil, err
-	}
-	defer d.observeSelect(plan, t0)
-	d.stmtMu.RLock()
-	defer d.stmtMu.RUnlock()
-	return runPlan(plan, params)
-}
-
-func runPlan(plan *selectPlan, params []rdb.Value) (*Rows, error) {
-	rows := &Rows{Columns: plan.projNames}
-	err := plan.run(params, func(row []rdb.Value) error {
-		rows.Data = append(rows.Data, row)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// ExecStmt executes an already parsed statement.
-func (d *DB) ExecStmt(st Statement, params []rdb.Value) (int, error) {
+// execStmt executes a parsed DDL or DML statement.
+func (d *DB) execStmt(st Statement, params []rdb.Value) (int, error) {
 	switch s := st.(type) {
-	case *SelectStmt:
-		rows, err := d.querySelect(s, params)
-		if err != nil {
-			return 0, err
-		}
-		return rows.Len(), nil
 	case *CreateTableStmt:
 		defer d.observeExec(opDDL, time.Now())
 		d.stmtMu.Lock()
@@ -291,81 +252,82 @@ func (d *DB) execInsert(s *InsertStmt, params []rdb.Value) (int, error) {
 	return n, nil
 }
 
-// scanCandidates visits the rows a WHERE clause could match, using an index
-// point lookup when the clause contains an equality between an indexed
-// column and a constant/parameter, and falling back to a full scan
-// otherwise. The WHERE clause itself is always re-evaluated by the caller,
-// so the index is purely an access-path optimization — without it, UPDATE
-// and DELETE on large catalog tables (e.g. the per-rule refcount updates
-// during rule-base registration) degrade to O(table) per statement.
+// scanCandidates visits the rows a WHERE clause could match through the
+// access path dmlAccess picks, falling back to a full scan. The WHERE clause
+// itself is always re-evaluated by the caller, so the index is purely an
+// access-path optimization — without it, UPDATE and DELETE on large catalog
+// tables (e.g. the per-rule refcount updates during rule-base registration)
+// degrade to O(table) per statement.
 func scanCandidates(t *rdb.Table, def rdb.TableDef, where Expr, params []rdb.Value,
 	visit func(id int64, row rdb.Row) bool) {
-	if where != nil {
-		for _, conj := range splitAnd(where) {
-			be, ok := conj.(*BinaryExpr)
-			if !ok || be.Op != "=" {
-				continue
+	ix, keyExpr := dmlAccess(t, def, where)
+	var key rdb.Key
+	switch v := keyExpr.(type) {
+	case *Literal:
+		key = rdb.Key{v.Value}
+	case *Param:
+		if v.Ordinal < len(params) {
+			key = rdb.Key{params[v.Ordinal]}
+		}
+	}
+	switch {
+	case key == nil:
+		t.Scan(visit)
+	case len(ix.ColumnPositions()) == 1:
+		for _, id := range ix.Lookup(key) {
+			if row, ok := t.Get(id); ok && !visit(id, row) {
+				return
 			}
-			colSide, valSide := be.Left, be.Right
-			if _, ok := colSide.(*ColumnRef); !ok {
-				colSide, valSide = be.Right, be.Left
-			}
-			cr, ok := colSide.(*ColumnRef)
-			if !ok {
-				continue
-			}
-			ci := def.ColumnIndex(cr.Column)
-			if ci < 0 {
-				continue
-			}
-			var val rdb.Value
-			switch v := valSide.(type) {
-			case *Literal:
-				val = v.Value
-			case *Param:
-				if v.Ordinal >= len(params) {
-					continue
-				}
-				val = params[v.Ordinal]
-			default:
-				continue
-			}
-			for _, ix := range t.Indexes() {
-				cols := ix.ColumnPositions()
-				if len(cols) == 0 || cols[0] != ci {
-					continue
-				}
-				if len(cols) == 1 {
-					for _, id := range ix.Lookup(rdb.Key{val}) {
-						if row, ok := t.Get(id); ok {
-							if !visit(id, row) {
-								return
-							}
-						}
-					}
-					return
-				}
-				if ix.Ordered() {
-					key := rdb.Key{val}
-					stop := false
-					ix.ScanRange(key, key, func(_ rdb.Key, id int64) bool {
-						row, ok := t.Get(id)
-						if !ok {
-							return true
-						}
-						if !visit(id, row) {
-							stop = true
-							return false
-						}
-						return true
-					})
-					_ = stop
-					return
-				}
+		}
+	default:
+		ix.ScanRange(key, key, func(_ rdb.Key, id int64) bool {
+			row, ok := t.Get(id)
+			return !ok || visit(id, row)
+		})
+	}
+}
+
+// dmlAccess picks the index an UPDATE or DELETE probes: the first equality
+// conjunct between a column and a constant or parameter whose column leads
+// an index — a point lookup on a single-column index, a prefix scan on an
+// ordered composite one (indexes tried in name order). A nil index means a
+// full scan. EXPLAIN reports the same choice.
+func dmlAccess(t *rdb.Table, def rdb.TableDef, where Expr) (*rdb.Index, Expr) {
+	if where == nil {
+		return nil, nil
+	}
+	indexes := t.Indexes()
+	sort.Slice(indexes, func(a, b int) bool { return indexes[a].Def.Name < indexes[b].Def.Name })
+	for _, conj := range splitAnd(where) {
+		be, ok := conj.(*BinaryExpr)
+		if !ok || be.Op != "=" {
+			continue
+		}
+		colSide, valSide := be.Left, be.Right
+		if _, ok := colSide.(*ColumnRef); !ok {
+			colSide, valSide = be.Right, be.Left
+		}
+		cr, ok := colSide.(*ColumnRef)
+		if !ok {
+			continue
+		}
+		switch valSide.(type) {
+		case *Literal, *Param:
+		default:
+			continue
+		}
+		ci := def.ColumnIndex(cr.Column)
+		if ci < 0 {
+			continue
+		}
+		for _, ix := range indexes {
+			cols := ix.ColumnPositions()
+			if len(cols) > 0 && cols[0] == ci && (len(cols) == 1 || ix.Ordered()) {
+				return ix, valSide
 			}
 		}
 	}
-	t.Scan(visit)
+	return nil, nil
 }
 
 // execUpdate evaluates the WHERE clause over the table, materializes the
@@ -489,6 +451,21 @@ func (d *DB) execDelete(s *DeleteStmt, params []rdb.Value) (int, error) {
 	return len(ids), nil
 }
 
+// StatementCacheSize bounds a DB's statement cache: the number of distinct
+// statement texts whose parse tree and compiled plan it keeps.
+const StatementCacheSize = 1024
+
+// stmtCache maps statement text to its prepared statement, so ad hoc
+// Exec/Query/QueryFunc calls and Prepare parse a text once and then reuse
+// its cached plan. Hits take only the read lock. Inserting into a full
+// cache evicts an arbitrary entry (the first in map iteration order): that
+// bounds memory under a stream of distinct texts without per-hit
+// bookkeeping. An evicted statement keeps working for whoever holds it.
+type stmtCache struct {
+	mu sync.RWMutex
+	m  map[string]*Stmt
+}
+
 // Stmt is a prepared statement: the parse tree is cached, and for SELECTs
 // the compiled plan is cached too and re-validated against catalog changes.
 // A Stmt is safe for concurrent use: plans are immutable once built and
@@ -497,6 +474,8 @@ func (d *DB) execDelete(s *DeleteStmt, params []rdb.Value) (int, error) {
 type Stmt struct {
 	db  *DB
 	ast Statement
+	// runs counts executions, for CachedStatements.
+	runs atomic.Uint64
 
 	// cached is the compiled SELECT plan tagged with the catalog version
 	// it was built against. Racing rebuilds after DDL are benign: the
@@ -509,13 +488,37 @@ type cachedPlan struct {
 	ver  uint64
 }
 
-// Prepare parses a statement for repeated execution.
+// errNotQuery rejects running a statement that returns no rows as a query.
+var errNotQuery = errors.New("sql: statement is not a SELECT or EXPLAIN")
+
+// Prepare returns the prepared statement for query from the statement
+// cache, parsing it on a miss. Parse errors are returned and never cached.
+// Equal texts share one Stmt.
 func (d *DB) Prepare(query string) (*Stmt, error) {
+	d.stmts.mu.RLock()
+	s, ok := d.stmts.m[query]
+	d.stmts.mu.RUnlock()
+	if ok {
+		return s, nil
+	}
 	ast, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: d, ast: ast}, nil
+	s = &Stmt{db: d, ast: ast}
+	d.stmts.mu.Lock()
+	defer d.stmts.mu.Unlock()
+	if cur, ok := d.stmts.m[query]; ok {
+		return cur, nil
+	}
+	if len(d.stmts.m) >= StatementCacheSize {
+		for text := range d.stmts.m {
+			delete(d.stmts.m, text)
+			break
+		}
+	}
+	d.stmts.m[query] = s
+	return s, nil
 }
 
 // MustPrepare is Prepare, panicking on parse errors. Intended for statically
@@ -526,6 +529,25 @@ func (d *DB) MustPrepare(query string) *Stmt {
 		panic(err)
 	}
 	return st
+}
+
+// CachedStatement is one entry of a DB's statement cache.
+type CachedStatement struct {
+	Text string
+	// Runs counts the statement's executions since it was cached.
+	Runs uint64
+}
+
+// CachedStatements lists the statement cache, sorted by text.
+func (d *DB) CachedStatements() []CachedStatement {
+	d.stmts.mu.RLock()
+	out := make([]CachedStatement, 0, len(d.stmts.m))
+	for text, s := range d.stmts.m {
+		out = append(out, CachedStatement{Text: text, Runs: s.runs.Load()})
+	}
+	d.stmts.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Text < out[j].Text })
+	return out
 }
 
 // selectPlanFor returns a cached plan for the prepared SELECT, rebuilding it
@@ -545,58 +567,68 @@ func (s *Stmt) selectPlanFor(sel *SelectStmt) (*selectPlan, error) {
 	return plan, nil
 }
 
-// Query executes a prepared SELECT.
-func (s *Stmt) Query(params ...rdb.Value) (*Rows, error) {
-	sel, ok := s.ast.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: prepared statement is not a SELECT")
+// run executes a prepared SELECT or EXPLAIN, streaming rows to visit, and
+// returns the result's column names. lock takes the shared statement lock;
+// a ReadTxn already holds it.
+func (s *Stmt) run(params []rdb.Value, lock bool, visit func(row []rdb.Value) error) ([]string, error) {
+	s.runs.Add(1)
+	switch st := s.ast.(type) {
+	case *ExplainStmt:
+		return explainColumns, s.db.explain(st, visit)
+	case *SelectStmt:
+		t0 := time.Now()
+		plan, err := s.selectPlanFor(st)
+		if err != nil {
+			return nil, err
+		}
+		defer s.db.observeSelect(plan, t0)
+		if lock {
+			s.db.stmtMu.RLock()
+			defer s.db.stmtMu.RUnlock()
+		}
+		return plan.projNames, plan.run(params, visit)
+	default:
+		return nil, errNotQuery
 	}
-	t0 := time.Now()
-	plan, err := s.selectPlanFor(sel)
+}
+
+// query is run, materializing the rows.
+func (s *Stmt) query(params []rdb.Value, lock bool) (*Rows, error) {
+	rows := &Rows{}
+	cols, err := s.run(params, lock, func(row []rdb.Value) error {
+		rows.Data = append(rows.Data, row)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer s.db.observeSelect(plan, t0)
-	s.db.stmtMu.RLock()
-	defer s.db.stmtMu.RUnlock()
-	return runPlan(plan, params)
+	rows.Columns = cols
+	return rows, nil
 }
 
-// QueryFunc executes a prepared SELECT, streaming rows to visit.
+// Query executes a prepared SELECT or EXPLAIN.
+func (s *Stmt) Query(params ...rdb.Value) (*Rows, error) {
+	return s.query(params, true)
+}
+
+// QueryFunc executes a prepared SELECT or EXPLAIN, streaming rows to visit.
 func (s *Stmt) QueryFunc(params []rdb.Value, visit func(row []rdb.Value) error) error {
-	sel, ok := s.ast.(*SelectStmt)
-	if !ok {
-		return fmt.Errorf("sql: prepared statement is not a SELECT")
-	}
-	t0 := time.Now()
-	plan, err := s.selectPlanFor(sel)
-	if err != nil {
-		return err
-	}
-	defer s.db.observeSelect(plan, t0)
-	s.db.stmtMu.RLock()
-	defer s.db.stmtMu.RUnlock()
-	return plan.run(params, visit)
+	_, err := s.run(params, true, visit)
+	return err
 }
 
 // Exec executes a prepared statement of any kind.
 func (s *Stmt) Exec(params ...rdb.Value) (int, error) {
-	if sel, ok := s.ast.(*SelectStmt); ok {
-		t0 := time.Now()
-		plan, err := s.selectPlanFor(sel)
-		if err != nil {
-			return 0, err
-		}
-		defer s.db.observeSelect(plan, t0)
-		s.db.stmtMu.RLock()
-		defer s.db.stmtMu.RUnlock()
-		rows, err := runPlan(plan, params)
+	switch s.ast.(type) {
+	case *SelectStmt, *ExplainStmt:
+		rows, err := s.query(params, true)
 		if err != nil {
 			return 0, err
 		}
 		return rows.Len(), nil
 	}
-	return s.db.ExecStmt(s.ast, params)
+	s.runs.Add(1)
+	return s.db.execStmt(s.ast, params)
 }
 
 // ExecBatch executes a prepared single-row INSERT ... VALUES statement once
@@ -614,6 +646,7 @@ func (s *Stmt) ExecBatch(paramRows [][]rdb.Value) (int, error) {
 	if len(paramRows) == 0 {
 		return 0, nil
 	}
+	s.runs.Add(1)
 	defer s.db.observeExec(opInsert, time.Now())
 	s.db.stmtMu.Lock()
 	defer s.db.stmtMu.Unlock()
@@ -717,56 +750,27 @@ func (d *DB) View(fn func(*ReadTxn) error) error {
 	return fn(t)
 }
 
-// Query parses and executes a SELECT inside the transaction.
+// Query executes a SELECT or EXPLAIN inside the transaction.
 func (t *ReadTxn) Query(query string, params ...rdb.Value) (*Rows, error) {
-	st, err := Parse(query)
+	s, err := t.db.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: Query requires a SELECT statement")
-	}
-	t0 := time.Now()
-	plan, err := buildSelectPlan(t.db.raw, sel)
-	if err != nil {
-		return nil, err
-	}
-	defer t.db.observeSelect(plan, t0)
-	return runPlan(plan, params)
+	return s.query(params, false)
 }
 
-// QueryFunc executes a SELECT inside the transaction, streaming each row to
-// visit.
+// QueryFunc executes a SELECT or EXPLAIN inside the transaction, streaming
+// each row to visit.
 func (t *ReadTxn) QueryFunc(query string, params []rdb.Value, visit func(row []rdb.Value) error) error {
-	st, err := Parse(query)
+	s, err := t.db.Prepare(query)
 	if err != nil {
 		return err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return fmt.Errorf("sql: QueryFunc requires a SELECT statement")
-	}
-	t0 := time.Now()
-	plan, err := buildSelectPlan(t.db.raw, sel)
-	if err != nil {
-		return err
-	}
-	defer t.db.observeSelect(plan, t0)
-	return plan.run(params, visit)
+	_, err = s.run(params, false, visit)
+	return err
 }
 
-// QueryStmt executes a prepared SELECT inside the transaction.
+// QueryStmt executes a prepared SELECT or EXPLAIN inside the transaction.
 func (t *ReadTxn) QueryStmt(s *Stmt, params ...rdb.Value) (*Rows, error) {
-	sel, ok := s.ast.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: prepared statement is not a SELECT")
-	}
-	t0 := time.Now()
-	plan, err := s.selectPlanFor(sel)
-	if err != nil {
-		return nil, err
-	}
-	defer s.db.observeSelect(plan, t0)
-	return runPlan(plan, params)
+	return s.query(params, false)
 }

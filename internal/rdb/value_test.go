@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -255,5 +256,14 @@ func TestEncodeKeyStringProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueSize pins the Value layout: rows and index keys are Value
+// slices, so a field order that adds padding grows the live heap of every
+// table.
+func TestValueSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Value{}) != 40 {
+		t.Fatalf("sizeof(Value) = %d bytes, want 40", unsafe.Sizeof(Value{}))
 	}
 }
